@@ -44,7 +44,7 @@ from ..obs.querylog import QueryLogRecord, get_query_log
 from ..rdf.dataset import Dataset
 from ..rdf.terms import IRI, Triple
 from ..relational.executor import Executor, OperatorStats
-from ..relational.optimizer import OptimizationStats, PlanOptimizer
+from ..relational.optimizer import OptimizationStats, PlanOptimizer, flatten_union
 from ..relational.relation import Relation
 from ..sources.fetch import FULL_FETCH, FetchRequest, apply_fetch_request
 from ..sources.wrappers import RetryPolicy, Wrapper
@@ -1836,21 +1836,15 @@ class MDM:
         Scans.  Pushed Scans report their *base* wrapper name from
         ``scans()``, so membership checks work unchanged.
         """
-        from ..relational.algebra import Distinct, Union, union_all
+        from ..relational.algebra import Distinct, union_all
 
         inner = plan
         wrapped = isinstance(inner, Distinct)
         if wrapped:
             inner = inner.child
-
-        def flatten(node) -> List:
-            if isinstance(node, Union):
-                return flatten(node.left) + flatten(node.right)
-            return [node]
-
         surviving = [
             branch
-            for branch in flatten(inner)
+            for branch in flatten_union(inner)
             if not (set(branch.scans()) & failed)
         ]
         if not surviving:

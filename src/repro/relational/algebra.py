@@ -47,11 +47,15 @@ __all__ = [
     "Union",
     "Distinct",
     "Catalog",
+    "SchemaMemo",
     "union_all",
 ]
 
 #: Maps scan names to their schemas for static schema derivation.
 Catalog = Dict[str, RelationSchema]
+
+#: Derived schemas by ``id(node)``; each entry keeps its node alive.
+SchemaMemo = Dict[int, Tuple["PlanNode", RelationSchema]]
 
 
 def canonical_scan_filters(
@@ -77,9 +81,48 @@ class PlanNode:
 
     __slots__ = ()
 
-    def output_schema(self, catalog: Catalog) -> RelationSchema:
-        """The schema this operator produces given base-relation schemas."""
+    def derive_schema(
+        self, inputs: Sequence[RelationSchema], catalog: Catalog
+    ) -> RelationSchema:
+        """This operator's schema from its children's schemas (in order).
+
+        Only a :class:`Scan` reads ``catalog``; every other operator
+        derives its schema from ``inputs`` alone.
+        """
         raise NotImplementedError
+
+    def output_schema(
+        self, catalog: Catalog, memo: Optional[SchemaMemo] = None
+    ) -> RelationSchema:
+        """The schema this operator produces given base-relation schemas.
+
+        One bottom-up walk that derives each distinct node once.  A
+        caller deriving many overlapping subtrees against one catalog
+        passes the same ``memo`` to every call; it is keyed by node
+        identity and holds the node, so an entry can never be confused
+        with a later node that reuses the id.  A memo is only valid for
+        the catalog it was filled from.
+        """
+        if memo is None:
+            memo = {}
+        hit = memo.get(id(self))
+        if hit is not None:
+            return hit[1]
+        stack: List[Tuple[PlanNode, bool]] = [(self, False)]
+        while stack:
+            node, expanded = stack.pop()
+            if id(node) in memo:
+                continue
+            kids = node.children()
+            if expanded:
+                inputs = [memo[id(kid)][1] for kid in kids]
+                memo[id(node)] = (node, node.derive_schema(inputs, catalog))
+                continue
+            # Children are pushed right-to-left so the left subtree is
+            # derived (and raises) first, as a recursive walk would.
+            stack.append((node, True))
+            stack.extend((kid, False) for kid in reversed(kids))
+        return memo[id(self)][1]
 
     def pretty(self) -> str:
         """Mathematical rendering (π σ ⋈ ∪ ρ δ) like the paper's Figure 8."""
@@ -161,7 +204,9 @@ class Scan(PlanNode):
             parts.append(f"limit[{self.limit}]")
         return "".join(parts)
 
-    def output_schema(self, catalog: Catalog) -> RelationSchema:
+    def derive_schema(
+        self, inputs: Sequence[RelationSchema], catalog: Catalog
+    ) -> RelationSchema:
         if self.is_pushed():
             bound = catalog.get(self.binding_name())
             if bound is not None:
@@ -201,8 +246,10 @@ class Project(PlanNode):
     child: PlanNode
     names: Tuple[str, ...]
 
-    def output_schema(self, catalog: Catalog) -> RelationSchema:
-        return self.child.output_schema(catalog).project(self.names)
+    def derive_schema(
+        self, inputs: Sequence[RelationSchema], catalog: Catalog
+    ) -> RelationSchema:
+        return inputs[0].project(self.names)
 
     def pretty(self) -> str:
         cols = ", ".join(self.names)
@@ -219,8 +266,10 @@ class Select(PlanNode):
     child: PlanNode
     predicate: Expr
 
-    def output_schema(self, catalog: Catalog) -> RelationSchema:
-        return self.child.output_schema(catalog)
+    def derive_schema(
+        self, inputs: Sequence[RelationSchema], catalog: Catalog
+    ) -> RelationSchema:
+        return inputs[0]
 
     def pretty(self) -> str:
         return f"σ_{{{self.predicate}}}({self.child.pretty()})"
@@ -236,10 +285,10 @@ class NaturalJoin(PlanNode):
     left: PlanNode
     right: PlanNode
 
-    def output_schema(self, catalog: Catalog) -> RelationSchema:
-        _, combined = self.left.output_schema(catalog).join_split(
-            self.right.output_schema(catalog)
-        )
+    def derive_schema(
+        self, inputs: Sequence[RelationSchema], catalog: Catalog
+    ) -> RelationSchema:
+        _, combined = inputs[0].join_split(inputs[1])
         return combined
 
     def pretty(self) -> str:
@@ -261,9 +310,10 @@ class EquiJoin(PlanNode):
     right: PlanNode
     pairs: Tuple[Tuple[str, str], ...]
 
-    def output_schema(self, catalog: Catalog) -> RelationSchema:
-        left_schema = self.left.output_schema(catalog)
-        right_schema = self.right.output_schema(catalog)
+    def derive_schema(
+        self, inputs: Sequence[RelationSchema], catalog: Catalog
+    ) -> RelationSchema:
+        left_schema, right_schema = inputs
         for l_name, r_name in self.pairs:
             left_schema.index_of(l_name)
             right_schema.index_of(r_name)
@@ -296,8 +346,10 @@ class Rename(PlanNode):
         """The rename mapping as a dict."""
         return dict(self.mapping)
 
-    def output_schema(self, catalog: Catalog) -> RelationSchema:
-        return self.child.output_schema(catalog).rename(self.mapping_dict())
+    def derive_schema(
+        self, inputs: Sequence[RelationSchema], catalog: Catalog
+    ) -> RelationSchema:
+        return inputs[0].rename(self.mapping_dict())
 
     def pretty(self) -> str:
         renames = ", ".join(f"{old}→{new}" for old, new in self.mapping)
@@ -314,10 +366,10 @@ class Union(PlanNode):
     left: PlanNode
     right: PlanNode
 
-    def output_schema(self, catalog: Catalog) -> RelationSchema:
-        left_schema = self.left.output_schema(catalog)
-        right_schema = self.right.output_schema(catalog)
-        return left_schema.widen(right_schema)
+    def derive_schema(
+        self, inputs: Sequence[RelationSchema], catalog: Catalog
+    ) -> RelationSchema:
+        return inputs[0].widen(inputs[1])
 
     def pretty(self) -> str:
         return f"({self.left.pretty()} ∪ {self.right.pretty()})"
@@ -332,8 +384,10 @@ class Distinct(PlanNode):
 
     child: PlanNode
 
-    def output_schema(self, catalog: Catalog) -> RelationSchema:
-        return self.child.output_schema(catalog)
+    def derive_schema(
+        self, inputs: Sequence[RelationSchema], catalog: Catalog
+    ) -> RelationSchema:
+        return inputs[0]
 
     def pretty(self) -> str:
         return f"δ({self.child.pretty()})"
@@ -355,11 +409,13 @@ class Extend(PlanNode):
     column: str
     value: object = None
 
-    def output_schema(self, catalog: Catalog) -> RelationSchema:
+    def derive_schema(
+        self, inputs: Sequence[RelationSchema], catalog: Catalog
+    ) -> RelationSchema:
         from .schema import Attribute
         from .types import AttrType, infer_type
 
-        child_schema = self.child.output_schema(catalog)
+        child_schema = inputs[0]
         if self.column in child_schema:
             raise SchemaError(
                 f"extend column {self.column!r} already exists in "
@@ -412,11 +468,13 @@ class Aggregate(PlanNode):
                 raise SchemaError(f"duplicate output column {alias!r}")
             seen.add(alias)
 
-    def output_schema(self, catalog: Catalog) -> RelationSchema:
+    def derive_schema(
+        self, inputs: Sequence[RelationSchema], catalog: Catalog
+    ) -> RelationSchema:
         from .schema import Attribute
         from .types import AttrType
 
-        child_schema = self.child.output_schema(catalog)
+        child_schema = inputs[0]
         attributes = [child_schema.attribute(name) for name in self.group_by]
         for function, column, alias in self.metrics:
             if column != "*":

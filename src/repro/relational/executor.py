@@ -6,6 +6,15 @@ by the LAV rewriting executes against them.  Joins are hash joins; unions
 widen schemas positionally and coerce rows to the common type so that two
 schema versions of the same source (e.g. INTEGER ids vs stringified ids)
 union cleanly.
+
+A UCQ's branches form a chain of directly nested binary ``Union`` nodes,
+one more per wrapper version.  The chain runs as one operator: every
+branch executes, each union node's widened schema is derived bottom-up,
+each branch's rows are coerced once per distinct schema on its path to
+the root and all rows are sorted once.  Widening is chained, as when
+each node runs on its own: 25 widened to FLOAT, then to STRING, reads
+``'25.0'``, while 25 widened straight to STRING reads ``'25'``.  The
+work is linear in the rows however many versions a source shipped.
 """
 
 from __future__ import annotations
@@ -26,11 +35,12 @@ from .algebra import (
     Project,
     Rename,
     Scan,
+    SchemaMemo,
     Select,
     Union,
 )
 from .expressions import Cmp, Col, Const, Expr, conjoin
-from .optimizer import plan_key
+from .optimizer import flatten_union, plan_key
 from .relation import Relation
 from .schema import RelationSchema, SchemaError
 
@@ -140,27 +150,19 @@ class OperatorStats:
         return "\n".join(lines)
 
 
-def _count_union_branches(plan: Union) -> int:
-    """Number of non-Union leaves under a (possibly nested) union."""
-    count = 0
-    stack: List[PlanNode] = [plan]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Union):
-            stack.append(node.left)
-            stack.append(node.right)
-        else:
-            count += 1
-    return count
-
-
-def _op_label(plan: PlanNode, catalog: Optional[Catalog] = None) -> str:
+def _op_label(
+    plan: PlanNode,
+    catalog: Optional[Catalog] = None,
+    schemas: Optional[SchemaMemo] = None,
+) -> str:
     """Short human label for one plan node (scan names, op arity hints).
 
-    With a ``catalog``, joins and unions get structural detail — the join
-    columns (or ``×`` for a cross product), the union's branch arity —
-    so an EXPLAIN ANALYZE tree distinguishes e.g. the three different
-    joins of a chain walk instead of printing ``NaturalJoin`` thrice.
+    With a ``catalog``, natural joins get their join columns (or ``×``
+    for a cross product), so an EXPLAIN ANALYZE tree distinguishes e.g.
+    the three different joins of a chain walk instead of printing
+    ``NaturalJoin`` thrice; ``schemas`` is a memo for that catalog,
+    shared across the labels of one plan.  A union is labelled with the
+    number of branches of its chain.
     """
     if isinstance(plan, Scan):
         if plan.is_pushed():
@@ -192,8 +194,8 @@ def _op_label(plan: PlanNode, catalog: Optional[Catalog] = None) -> str:
     if isinstance(plan, NaturalJoin):
         if catalog is not None:
             try:
-                shared, _ = plan.left.output_schema(catalog).join_split(
-                    plan.right.output_schema(catalog)
+                shared, _ = plan.left.output_schema(catalog, schemas).join_split(
+                    plan.right.output_schema(catalog, schemas)
                 )
             except SchemaError:
                 shared = None
@@ -205,7 +207,7 @@ def _op_label(plan: PlanNode, catalog: Optional[Catalog] = None) -> str:
         condition = ",".join(f"{l}={r}" for l, r in plan.pairs)
         return f"EquiJoin[{condition}]"
     if isinstance(plan, Union):
-        return f"Union[{_count_union_branches(plan)} branches]"
+        return f"Union[{len(flatten_union(plan))} branches]"
     if isinstance(plan, Aggregate):
         groups = ",".join(plan.group_by) or "∅"
         metrics = ",".join(
@@ -260,6 +262,9 @@ class Executor:
         #: While analyzing: a stack of child-stat accumulators, innermost
         #: last.  None in the unobserved fast path.
         self._analyze_stack: Optional[List[List[OperatorStats]]] = None
+        #: While analyzing: the catalog and schema memo operator labels
+        #: are derived from, built once per ``execute_analyzed`` call.
+        self._label_schemas: Optional[Tuple[Catalog, SchemaMemo]] = None
         #: Stats tree of the last ``execute_analyzed`` call.
         self.last_stats: Optional[OperatorStats] = None
         self.memoize_shared = memoize_shared
@@ -358,13 +363,14 @@ class Executor:
         the previous instrumentation state, so provenance re-execution of
         UCQ branches does not corrupt an outer analysis.
         """
-        previous = self._analyze_stack
+        previous = self._analyze_stack, self._label_schemas
         root_frame: List[OperatorStats] = []
         self._analyze_stack = [root_frame]
+        self._label_schemas = (self.catalog, {})
         try:
             relation = self.execute(plan)
         finally:
-            self._analyze_stack = previous
+            self._analyze_stack, self._label_schemas = previous
         stats = root_frame[0]
         self.last_stats = stats
         return relation, stats
@@ -372,7 +378,8 @@ class Executor:
     def _execute_instrumented(self, plan: PlanNode) -> Relation:
         """One analyzed operator: time it, record stats, emit a span."""
         assert self._analyze_stack is not None
-        label = _op_label(plan, self.catalog)
+        assert self._label_schemas is not None
+        label = _op_label(plan, *self._label_schemas)
         memo_key, hit = self._memo_lookup(plan)
         if hit is not None:
             stats = OperatorStats(
@@ -435,7 +442,7 @@ class Executor:
             return self._aggregate(plan)
         if isinstance(plan, Extend):
             child = self.execute(plan.child)
-            schema = plan.output_schema({**self.catalog, "__child__": child.schema})
+            schema = plan.derive_schema((child.schema,), {})
             rows = [row + (plan.value,) for row in child]
             return Relation(schema, rows)
         raise ExecutionError(f"unknown plan node {plan!r}")
@@ -458,7 +465,7 @@ class Executor:
 
     def _aggregate(self, plan: Aggregate) -> Relation:
         child = self.execute(plan.child)
-        schema = plan.output_schema({**self.catalog, "__child__": child.schema})
+        schema = plan.derive_schema((child.schema,), {})
         group_indices = [child.schema.index_of(n) for n in plan.group_by]
         metric_indices = [
             None if column == "*" else child.schema.index_of(column)
@@ -535,22 +542,8 @@ class Executor:
     def _equi_join(self, plan: EquiJoin) -> Relation:
         left = self.execute(plan.left)
         right = self.execute(plan.right)
-        schema = self._equi_schema(left.schema, right.schema, plan.pairs)
+        schema = plan.derive_schema((left.schema, right.schema), {})
         return self._hash_join(left, right, plan.pairs, schema)
-
-    @staticmethod
-    def _equi_schema(
-        left_schema: RelationSchema,
-        right_schema: RelationSchema,
-        pairs: Tuple[Tuple[str, str], ...],
-    ) -> RelationSchema:
-        for l_name, r_name in pairs:
-            left_schema.index_of(l_name)
-            right_schema.index_of(r_name)
-        combined = list(left_schema.attributes) + [
-            a for a in right_schema.attributes if a.name not in left_schema
-        ]
-        return RelationSchema(combined)
 
     @staticmethod
     def _join_key(value: Any) -> Any:
@@ -618,21 +611,67 @@ class Executor:
         return Relation(child.schema.rename(plan.mapping_dict()), child.rows)
 
     def _union(self, plan: Union) -> Relation:
-        left = self.execute(plan.left)
-        right = self.execute(plan.right)
-        if not left.schema.union_compatible(right.schema):
-            raise ExecutionError(
-                "union of incompatible schemas: "
-                f"{list(left.schema.names)} vs {list(right.schema.names)}"
-            )
-        widened = left.schema.widen(right.schema)
-        left_rows = left.coerced(widened).rows
-        right_rows = right.coerced(widened).rows
+        """Evaluate the maximal chain of directly nested unions at once.
+
+        Every non-Union branch of the chain executes (left to right, as
+        node-at-a-time evaluation would), each union node's widened
+        schema is derived bottom-up from its inputs' schemas, then every
+        branch's rows are coerced and all rows are sorted once: linear
+        in the rows, where evaluating each binary node on its own
+        re-coerces and re-sorts everything below it.
+
+        Widening is chained, exactly as if each node ran on its own: a
+        branch's rows are coerced to each distinct schema on its path to
+        the root, in order, because coercions do not compose (25 widened
+        to FLOAT then STRING is ``'25.0'``, straight to STRING ``'25'``).
+        Where nothing widens along the path that is one coercion.
+        """
+        #: Per union node, in pre-order: the index of its parent node.
+        parents: List[int] = []
+        #: Per union node index: its widened schema.
+        schemas: Dict[int, RelationSchema] = {}
+        #: Per branch, left to right: (index of its union node, relation).
+        branches: List[Tuple[int, Relation]] = []
+
+        def widen(node: Union, parent: int) -> RelationSchema:
+            index = len(parents)
+            parents.append(parent)
+            sides: List[RelationSchema] = []
+            for child in (node.left, node.right):
+                if isinstance(child, Union):
+                    sides.append(widen(child, index))
+                else:
+                    relation = self.execute(child)
+                    branches.append((index, relation))
+                    sides.append(relation.schema)
+            left, right = sides
+            if not left.union_compatible(right):
+                raise ExecutionError(
+                    "union of incompatible schemas: "
+                    f"{list(left.names)} vs {list(right.names)}"
+                )
+            schemas[index] = left.widen(right)
+            return schemas[index]
+
+        root_schema = widen(plan, -1)
+        # The distinct schemas from each node up to the root, innermost
+        # first.  Parents precede children in ``parents``, so one forward
+        # pass builds every path from its parent's.
+        paths: List[Tuple[RelationSchema, ...]] = []
+        for index, parent in enumerate(parents):
+            schema = schemas[index]
+            above = paths[parent] if parent >= 0 else ()
+            paths.append(above if above and above[0] == schema else (schema,) + above)
+        rows: List[Tuple[Any, ...]] = []
+        for index, relation in branches:
+            for schema in paths[index]:
+                relation = relation.coerced(schema)
+            rows.extend(relation.rows)
         # Sort the merged branches so union output (and the downstream
         # first-occurrence dedupe) is identical regardless of which CQ
         # branch's wrapper fetch finished first under concurrency.  The
         # key is one flat interleaved tuple per row — same total order as
         # a tuple of per-cell (not-null, str) pairs, without allocating a
         # nested tuple per cell.
-        rows = sorted(left_rows + right_rows, key=_union_sort_key)
-        return Relation(widened, rows)
+        rows.sort(key=_union_sort_key)
+        return Relation(root_schema, rows)

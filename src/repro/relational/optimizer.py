@@ -33,8 +33,9 @@ hash the Executor uses to memoize shared subplans across CQ branches.
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..obs import get_metrics
 from .algebra import (
@@ -48,12 +49,13 @@ from .algebra import (
     Project,
     Rename,
     Scan,
+    SchemaMemo,
     Select,
     Union,
     union_all,
 )
 from .expressions import Expr, conjuncts, rename_columns
-from .schema import SchemaError
+from .schema import RelationSchema, SchemaError
 from .types import AttrType
 
 __all__ = [
@@ -125,9 +127,16 @@ def plan_key(plan: PlanNode, cache: Optional[Dict[int, str]] = None) -> str:
 
 def flatten_union(plan: PlanNode) -> List[PlanNode]:
     """The non-Union leaves of a (possibly nested) union tree, in order."""
-    if isinstance(plan, Union):
-        return flatten_union(plan.left) + flatten_union(plan.right)
-    return [plan]
+    leaves: List[PlanNode] = []
+    stack = [plan]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Union):
+            stack.append(node.right)
+            stack.append(node.left)
+        else:
+            leaves.append(node)
+    return leaves
 
 
 def _with_children(plan: PlanNode, kids: Sequence[PlanNode]) -> PlanNode:
@@ -178,6 +187,9 @@ class CardinalityEstimator:
             name: float(count) for name, count in (row_counts or {}).items()
         }
         self.default_rows = float(default_rows)
+        #: Schema memo shared with the owning optimizer for the duration
+        #: of one ``optimize``/``extract_pushdown`` call; None otherwise.
+        self.schemas: Optional[SchemaMemo] = None
 
     def rows(self, plan: PlanNode) -> float:
         """Estimated output cardinality of ``plan``."""
@@ -216,8 +228,8 @@ class CardinalityEstimator:
     def _is_cross(self, plan: NaturalJoin) -> bool:
         """True when the natural join has no shared columns (cartesian)."""
         try:
-            left_names = set(plan.left.output_schema(self.catalog).names)
-            right_names = set(plan.right.output_schema(self.catalog).names)
+            left_names = set(plan.left.output_schema(self.catalog, self.schemas).names)
+            right_names = set(plan.right.output_schema(self.catalog, self.schemas).names)
         except SchemaError:
             return False
         return not (left_names & right_names)
@@ -332,6 +344,9 @@ class PlanOptimizer:
         #: Disables the one rewrite whose safety test inspects attribute
         #: types (σ-through-∪), which would vacuously pass on ANY.
         self.type_aware = type_aware
+        #: Schema memo of the running ``optimize``/``extract_pushdown``
+        #: call (see :meth:`_schema_memo`); None between calls.
+        self._schemas: Optional[SchemaMemo] = None
 
     # -- public entry points ------------------------------------------- #
 
@@ -339,15 +354,16 @@ class PlanOptimizer:
         """Optimized plan plus a record of every rule that fired."""
         stats = OptimizationStats()
         started = time.perf_counter()
-        stats.estimated_rows_before = self.estimator.rows(plan)
-        plan = self._fixpoint(plan, stats)
-        plan = self._reorder_everywhere(plan, stats)
-        pruned = self._try_prune(plan, stats)
-        if pruned is not None:
-            plan = pruned
-            # Pruning inserts Projects that may now fuse or be noops.
+        with self._schema_memo():
+            stats.estimated_rows_before = self.estimator.rows(plan)
             plan = self._fixpoint(plan, stats)
-        stats.estimated_rows_after = self.estimator.rows(plan)
+            plan = self._reorder_everywhere(plan, stats)
+            pruned = self._try_prune(plan, stats)
+            if pruned is not None:
+                plan = pruned
+                # Pruning inserts Projects that may now fuse or be noops.
+                plan = self._fixpoint(plan, stats)
+            stats.estimated_rows_after = self.estimator.rows(plan)
         stats.elapsed_s = time.perf_counter() - started
         self._emit_metrics(stats)
         return plan, stats
@@ -366,13 +382,34 @@ class PlanOptimizer:
         """
         stats = OptimizationStats()
         started = time.perf_counter()
-        plan = self._fixpoint(plan, stats)
-        pruned = self._try_prune(plan, stats)
-        if pruned is not None:
-            plan = self._fixpoint(pruned, stats)
+        with self._schema_memo():
+            plan = self._fixpoint(plan, stats)
+            pruned = self._try_prune(plan, stats)
+            if pruned is not None:
+                plan = self._fixpoint(pruned, stats)
         stats.elapsed_s = time.perf_counter() - started
         self._emit_metrics(stats)
         return plan, stats
+
+    @contextmanager
+    def _schema_memo(self) -> Iterator[None]:
+        """One schema memo for this call, shared with the estimator.
+
+        Plan nodes are immutable and the catalog is fixed for the life
+        of the optimizer, so a node's schema is derived once per call
+        however many rules and passes ask for it.  The memo is dropped
+        when the call returns: nothing outlives it.
+        """
+        memo: SchemaMemo = {}
+        self._schemas = self.estimator.schemas = memo
+        try:
+            yield
+        finally:
+            self._schemas = self.estimator.schemas = None
+
+    def _schema(self, plan: PlanNode) -> RelationSchema:
+        """``plan``'s output schema through the current call's memo."""
+        return plan.output_schema(self.catalog, self._schemas)
 
     @staticmethod
     def _emit_metrics(stats: OptimizationStats) -> None:
@@ -457,7 +494,7 @@ class PlanOptimizer:
             return None
         if isinstance(child, Rename):
             try:
-                visible = set(child.output_schema(self.catalog).names)
+                visible = set(self._schema(child).names)
             except SchemaError:
                 return None
             if not refs <= visible:
@@ -542,7 +579,7 @@ class PlanOptimizer:
         if conjunct is None:
             return None
         try:
-            visible = set(child.output_schema(self.catalog).names)
+            visible = set(self._schema(child).names)
         except SchemaError:
             return None
         if conjunct[0] not in visible:
@@ -563,7 +600,7 @@ class PlanOptimizer:
         if not caps or "projection" not in caps:
             return None
         try:
-            current = child.output_schema(self.catalog).names
+            current = self._schema(child).names
         except SchemaError:
             return None
         if plan.names == current:
@@ -592,8 +629,8 @@ class PlanOptimizer:
             return None
         refs = plan.predicate.references()
         try:
-            left_schema = child.left.output_schema(self.catalog)
-            right_schema = child.right.output_schema(self.catalog)
+            left_schema = self._schema(child.left)
+            right_schema = self._schema(child.right)
             widened = left_schema.widen(right_schema)
             for name in refs:
                 attr = widened.attribute(name)
@@ -628,8 +665,8 @@ class PlanOptimizer:
         if not refs:
             return None
         try:
-            left_names = set(child.left.output_schema(self.catalog).names)
-            right_names = set(child.right.output_schema(self.catalog).names)
+            left_names = set(self._schema(child.left).names)
+            right_names = set(self._schema(child.right).names)
         except SchemaError:
             return None
         if refs <= left_names:
@@ -658,7 +695,7 @@ class PlanOptimizer:
             # computed against the child's actual schema so renames of
             # renamed-away names cannot sneak in.
             try:
-                base = child.child.output_schema(self.catalog)
+                base = self._schema(child.child)
             except SchemaError:
                 return None
             inner = child.mapping_dict()
@@ -689,7 +726,7 @@ class PlanOptimizer:
             if folded is not None:
                 return folded
         try:
-            if plan.names == child.output_schema(self.catalog).names:
+            if plan.names == self._schema(child).names:
                 stats.count("project_noop_dropped")
                 return child
         except SchemaError:
@@ -715,7 +752,7 @@ class PlanOptimizer:
         if not caps or "projection" not in caps:
             return None
         try:
-            renamed_visible = child.output_schema(self.catalog).names
+            renamed_visible = self._schema(child).names
         except SchemaError:
             return None
         if not set(plan.names) <= set(renamed_visible):
@@ -795,13 +832,11 @@ class PlanOptimizer:
         if len(leaves) < 3:
             return cluster
         try:
-            original_names = cluster.output_schema(self.catalog).names
-            leaf_names = [
-                tuple(leaf.output_schema(self.catalog).names) for leaf in leaves
-            ]
+            original_names = self._schema(cluster).names
+            leaf_schemas = [self._schema(leaf) for leaf in leaves]
+            leaf_names = [tuple(schema.names) for schema in leaf_schemas]
             leaf_types = [
-                {a.name: a.type for a in leaf.output_schema(self.catalog)}
-                for leaf in leaves
+                {a.name: a.type for a in schema} for schema in leaf_schemas
             ]
         except SchemaError:
             return cluster
@@ -905,7 +940,7 @@ class PlanOptimizer:
         if isinstance(plan, Scan):
             if needed is None:
                 return plan
-            names = plan.output_schema(self.catalog).names
+            names = self._schema(plan).names
             keep = tuple(n for n in names if n in needed)
             if not keep or keep == names:
                 return plan
@@ -939,7 +974,7 @@ class PlanOptimizer:
                 inverse = {new: old for old, new in plan.mapping}
                 child_needed = {inverse.get(n, n) for n in needed}
             child = self._prune(plan.child, child_needed, stats)
-            surviving = set(child.output_schema(self.catalog).names)
+            surviving = set(self._schema(child).names)
             kept_mapping = {
                 old: new for old, new in mapping.items() if old in surviving
             }
@@ -963,8 +998,8 @@ class PlanOptimizer:
         if isinstance(plan, Union):
             left = self._prune(plan.left, needed, stats)
             right = self._prune(plan.right, needed, stats)
-            left_names = left.output_schema(self.catalog).names
-            right_names = right.output_schema(self.catalog).names
+            left_names = self._schema(left).names
+            right_names = self._schema(right).names
             if left_names == right_names:
                 return Union(left, right)
             # Realign independently pruned branches on their common columns.
@@ -978,8 +1013,8 @@ class PlanOptimizer:
                 right = Project(right, target)
             return Union(left, right)
         if isinstance(plan, NaturalJoin):
-            left_names = plan.left.output_schema(self.catalog).names
-            right_names = plan.right.output_schema(self.catalog).names
+            left_names = self._schema(plan.left).names
+            right_names = self._schema(plan.right).names
             shared = set(left_names) & set(right_names)
             if needed is None:
                 left_needed = None
@@ -992,8 +1027,8 @@ class PlanOptimizer:
                 self._prune(plan.right, right_needed, stats),
             )
         if isinstance(plan, EquiJoin):
-            left_names = plan.left.output_schema(self.catalog).names
-            right_names = plan.right.output_schema(self.catalog).names
+            left_names = self._schema(plan.left).names
+            right_names = self._schema(plan.right).names
             collisions = set(left_names) & set(right_names)
             if needed is None:
                 left_needed = None
