@@ -24,11 +24,11 @@ from __future__ import annotations
 
 import contextvars
 import copy
+import functools
 import os
-import threading
 import time
 import uuid
-from collections import OrderedDict, deque
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
@@ -59,6 +59,7 @@ from .errors import (
 from .global_graph import GlobalGraph, UmlModel
 from .lav import LavMappingStore, MappingView
 from .locking import ReadWriteLock
+from .plan_memo import PlanMemo, catalog_signature, describe_plan_memo
 from .releases import (
     KIND_EVOLUTION,
     KIND_NEW_SOURCE,
@@ -66,6 +67,7 @@ from .releases import (
     MappingSuggestion,
     suggest_mapping,
 )
+from .rewrite_cache import walk_cache_key
 from .rewriting import Rewriter, RewriteResult
 from .source_graph import SourceGraph, WrapperRegistration
 from .vocabulary import G, M, mdm_namespace_manager
@@ -96,6 +98,7 @@ class QueryOutcome:
         generation: int = -1,
         result_cache: str = "off",
         pushdown: Optional[Dict[str, object]] = None,
+        plan_memo: Optional[Dict[str, object]] = None,
     ):
         self.rewrite = rewrite
         self.relation = relation
@@ -142,6 +145,10 @@ class QueryOutcome:
         #: request, wrapper-cache disposition and row-transfer counts,
         #: plus the per-query totals.
         self.pushdown = pushdown
+        #: Prepared-plan memo disposition per optimizer stage consulted
+        #: (``stage_a``/``stage_b``: hit/miss, or bypass for a partial
+        #: answer) and ``saved_ms``, the optimizer time the hits saved.
+        self.plan_memo: Dict[str, object] = dict(plan_memo or {})
 
     @property
     def optimized(self) -> bool:
@@ -197,6 +204,8 @@ class QueryOutcome:
                 f"{summary.elapsed_s * 1000.0:.3f}ms over {summary.passes} "
                 f"passes" + (f" ({rules})" if rules else "")
             )
+        if self.plan_memo:
+            lines.append(describe_plan_memo(self.plan_memo))
         if self.subplan_hits or self.subplan_misses:
             lines.append(
                 f"Shared subplans: {self.subplan_hits} memo hits / "
@@ -499,14 +508,9 @@ class MDM:
             if wrapper_cache_size is None
             else wrapper_cache_size
         )
-        #: Memoized stage-A pushdown extractions keyed by
-        #: (canonical walk, generation) — the extraction is a pure
-        #: function of the rewritten plan and the wrapper capabilities,
-        #: both frozen within a generation, so repeated queries skip it.
-        self._pushdown_plan_cache: "OrderedDict[Tuple[str, int], Tuple[object, Optional[OptimizationStats]]]" = (
-            OrderedDict()
-        )
-        self._pushdown_plan_lock = threading.Lock()
+        #: Prepared plans: both optimizer stages' results keyed by
+        #: (canonical walk, generation, pushdown) and fetched catalog.
+        self.plan_memo = PlanMemo()
         from .registry import QueryRegistry
 
         #: Saved analytical processes (named walks) with revalidation.
@@ -1088,8 +1092,11 @@ class MDM:
         Holding the read lock end-to-end means the whole query — rewrite,
         fetch, optimize, execute — sees one metadata generation; the
         captured ``generation`` is therefore exact, which is what makes
-        the result cache's generation keying sound.
+        the result cache's generation keying sound.  The execution flags
+        are read once too: a concurrent :meth:`configure_execution`
+        applies from the next query on.
         """
+        optimize, pushdown, validate_plans = self.optimize, self.pushdown, self.validate_plans
         tracer = get_tracer()
         root = tracer.span("execute")
         timer = PhaseTimer()
@@ -1106,6 +1113,7 @@ class MDM:
         stats: Optional[OperatorStats] = None
         subplan_hits = 0
         subplan_misses = 0
+        plan_memo: Dict[str, object] = {}
         try:
             with memory, root:
                 analyze = analyze or root.is_recording
@@ -1116,9 +1124,9 @@ class MDM:
                             cached = self.result_cache.get(
                                 walk,
                                 generation,
-                                self.optimize,
+                                optimize,
                                 require_analyzed=analyze,
-                                pushdown=self.pushdown,
+                                pushdown=pushdown,
                             )
                             rc_status = "hit" if cached is not None else "miss"
                             rc_span.set_tag("cache", rc_status)
@@ -1170,14 +1178,15 @@ class MDM:
                 # carry them across the wrapper boundary.  Runs over a
                 # type-blind signature catalog — real types exist only
                 # after fetching, which is exactly what pushdown avoids.
+                memo_key = (walk_cache_key(walk), generation, pushdown)
                 pushed_plan = result.plan
                 pushdown_stats: Optional[OptimizationStats] = None
-                if self.pushdown:
+                if pushdown:
                     with timer.phase("optimize"):
-                        pushed_plan, pushdown_stats = (
-                            self._extract_pushdown_cached(
-                                walk, result.plan, needed, generation
-                            )
+                        pushed_plan, pushdown_stats = self.plan_memo.stage_a(
+                            memo_key,
+                            functools.partial(self._extract_pushdown, result.plan, needed),
+                            plan_memo,
                         )
                 requests, register_as, derived = self._scan_requests(
                     pushed_plan, needed
@@ -1206,7 +1215,7 @@ class MDM:
                         )
                 for name in sorted(registered):
                     executor.register(name, registered[name])
-                if self.pushdown:
+                if pushdown:
                     executor.base_resolver = self._base_resolver(generation)
                 if failed:
                     get_metrics().counter(
@@ -1247,21 +1256,32 @@ class MDM:
                     plan = pushed_plan
                     naive_plan = result.plan
                 optimization: Optional[OptimizationStats] = pushdown_stats
-                if self.optimize:
+                if optimize:
                     with timer.phase("optimize"):
-                        plan, stage_b = self._optimize_plan(
+                        compute = functools.partial(
+                            self._optimize_plan,
                             plan,
                             executor,
-                            {
-                                name: len(rel)
-                                for name, rel in registered.items()
-                            },
+                            {name: len(rel) for name, rel in registered.items()},
                         )
+                        if failed:
+                            # A partial answer's plan lost branches: it is
+                            # not the plan the memo key stands for.
+                            plan, stage_b = compute()
+                            plan_memo["stage_b"] = "bypass"
+                        else:
+                            plan, stage_b = self.plan_memo.stage_b(
+                                memo_key,
+                                catalog_signature(registered),
+                                plan,
+                                compute,
+                                plan_memo,
+                            )
                         optimization = _merge_optimization_stats(
                             pushdown_stats, stage_b
                         )
                 plan_findings: Tuple = ()
-                if self.validate_plans:
+                if validate_plans:
                     with timer.phase("validate"):
                         plan_findings = self._validate_plan(plan, executor)
                 hits_before = executor.subplan_hits
@@ -1306,6 +1326,7 @@ class MDM:
                 status="error",
                 error=exc,
                 result_cache=rc_status,
+                plan_memo=plan_memo,
             )
             raise
         phase_ms = timer.finish()
@@ -1331,7 +1352,7 @@ class MDM:
             rows_pushed_down=rows_pushed_down,
         )
         pushdown_summary: Optional[Dict[str, object]] = None
-        if self.pushdown:
+        if pushdown:
             pushed_count = sum(
                 1 for m in fetch_meta.values() if m["kind"] == "pushed"
             )
@@ -1372,6 +1393,7 @@ class MDM:
             subplan_misses=subplan_misses,
             status="partial" if failed else "ok",
             result_cache=rc_status,
+            plan_memo=plan_memo,
         )
         metrics = get_metrics()
         metrics.counter("mdm_queries_total", "OMQs executed end-to-end.").inc()
@@ -1401,17 +1423,18 @@ class MDM:
             subplan_hits=subplan_hits,
             subplan_misses=subplan_misses,
             plan_findings=plan_findings,
-            plan_validated=self.validate_plans,
+            plan_validated=validate_plans,
             profile=profile,
             generation=generation,
             result_cache=rc_status,
             pushdown=pushdown_summary,
+            plan_memo=plan_memo,
         )
         if rc_status == "miss":
             # put() refuses partial outcomes; everything else computed at
             # this generation is safe to serve until the next mutation.
             self.result_cache.put(
-                walk, generation, self.optimize, outcome, pushdown=self.pushdown
+                walk, generation, optimize, outcome, pushdown=pushdown
             )
         return outcome
 
@@ -1449,6 +1472,7 @@ class MDM:
         status: str,
         error: Optional[Exception] = None,
         result_cache: str = "off",
+        plan_memo: Optional[Mapping[str, object]] = None,
     ) -> QueryLogRecord:
         """Append this query's record to the process query log.
 
@@ -1493,6 +1517,7 @@ class MDM:
             trace_decision=decision,
             error=f"{type(error).__name__}: {error}" if error else None,
             result_cache=result_cache,
+            plan_memo=dict(plan_memo or {}),
         )
         return get_query_log().record(record)
 
@@ -1685,33 +1710,6 @@ class MDM:
                     "Rows filtered out source-side before transfer.",
                 ).inc(int(source_rows) - int(entry["rows_transferred"]))
         return relations, attempts, errors, meta
-
-    #: How many (walk, generation) stage-A extractions to keep memoized.
-    _PUSHDOWN_PLAN_CACHE_SIZE = 256
-
-    def _extract_pushdown_cached(self, walk, plan, needed, generation: int):
-        """Stage A with a per-(walk, generation) memo.
-
-        The extraction is deterministic given the rewritten plan and the
-        wrapper capability sets, and both are frozen for the duration of
-        a generation (any metadata mutation bumps it under the write
-        lock) — so a repeated query pays the optimizer pass once.
-        """
-        from .rewrite_cache import walk_cache_key
-
-        key = (walk_cache_key(walk), generation)
-        with self._pushdown_plan_lock:
-            hit = self._pushdown_plan_cache.get(key)
-            if hit is not None:
-                self._pushdown_plan_cache.move_to_end(key)
-                return hit
-        extracted = self._extract_pushdown(plan, needed)
-        with self._pushdown_plan_lock:
-            self._pushdown_plan_cache[key] = extracted
-            self._pushdown_plan_cache.move_to_end(key)
-            while len(self._pushdown_plan_cache) > self._PUSHDOWN_PLAN_CACHE_SIZE:
-                self._pushdown_plan_cache.popitem(last=False)
-        return extracted
 
     def _extract_pushdown(self, plan, needed: Iterable[str]):
         """Stage-A optimization: fold pushable work into the Scans.

@@ -63,6 +63,9 @@ class QueryLogRecord:
     trace_decision: str = "off"
     error: Optional[str] = None
     result_cache: str = "off"  # "hit" | "miss" | "bypass" | "off"
+    #: Prepared-plan memo per optimizer stage consulted (``stage_a``,
+    #: ``stage_b``: "hit" | "miss" | "bypass") plus ``saved_ms``.
+    plan_memo: Mapping[str, Any] = field(default_factory=dict)
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "QueryLogRecord":
@@ -85,6 +88,7 @@ class QueryLogRecord:
             trace_decision=str(data.get("trace_decision", "off")),
             error=data.get("error"),
             result_cache=str(data.get("result_cache", "off")),
+            plan_memo=dict(data.get("plan_memo") or {}),
         )
 
     def to_dict(self) -> Dict[str, Any]:
@@ -107,6 +111,7 @@ class QueryLogRecord:
             "trace_decision": self.trace_decision,
             "error": self.error,
             "result_cache": self.result_cache,
+            "plan_memo": dict(self.plan_memo),
         }
 
     def summary_line(self) -> str:
